@@ -52,71 +52,56 @@ void GoldenFreeDetector::enroll(std::span<const dsp::Spectrum> enrollment) {
   for (const dsp::Spectrum& s : enrollment) norms.push_back(band_norm(s));
   ref_norm_ = dsp::median(norms);
 
+  // Normalize each spectrum once, then fold bin columns: O(traces x bins).
+  std::vector<std::vector<double>> mags;
+  for (const dsp::Spectrum& s : enrollment) mags.push_back(normalized(s));
   std::vector<double> column(enrollment.size());
   for (std::size_t b = 0; b < bins; ++b) {
-    for (std::size_t i = 0; i < enrollment.size(); ++i) {
-      const std::vector<double> mags = normalized(enrollment[i]);
-      column[i] = mags[b];
-    }
+    for (std::size_t i = 0; i < mags.size(); ++i) column[i] = mags[i][b];
     median_[b] = dsp::median(column);
     spread_[b] = 1.4826 * dsp::median_abs_deviation(column) + p_.mad_floor;
   }
 }
 
-std::vector<double> GoldenFreeDetector::zscores(
-    const dsp::Spectrum& observation) const {
-  if (!enrolled()) {
-    throw std::logic_error("GoldenFreeDetector: not enrolled");
-  }
-  if (observation.size() != median_.size()) {
+void GoldenFreeDetector::check_scorable(const dsp::Spectrum& s) const {
+  if (!enrolled()) throw std::logic_error("GoldenFreeDetector: not enrolled");
+  if (s.size() != median_.size()) {
     throw std::invalid_argument("GoldenFreeDetector: grid mismatch");
   }
-  const std::vector<double> mags = normalized(observation);
-  std::vector<double> z(median_.size());
-  for (std::size_t b = 0; b < z.size(); ++b) {
-    if (freq_hz_[b] < p_.min_freq_hz) {
-      z[b] = 0.0;
-      continue;
-    }
-    z[b] = (mags[b] - median_[b]) / spread_[b];
-  }
-  return z;
 }
 
-std::vector<double> GoldenFreeDetector::deltas(
+double GoldenFreeDetector::z_at(double mag, std::size_t b) const {
+  if (freq_hz_[b] < p_.min_freq_hz) return 0.0;
+  return (mag - median_[b]) / spread_[b];
+}
+
+std::vector<double> GoldenFreeDetector::zscores(
     const dsp::Spectrum& observation) const {
-  if (!enrolled()) {
-    throw std::logic_error("GoldenFreeDetector: not enrolled");
-  }
-  if (observation.size() != median_.size()) {
-    throw std::invalid_argument("GoldenFreeDetector: grid mismatch");
-  }
-  // Raw magnitudes, *not* drift-normalized: normalization divides by the
-  // in-band mean, which a strong Trojan right under the sensor inflates —
-  // deflating exactly the sensor that should win the localization scan.
-  // Gain drift is percent-level against tens of dB of spatial contrast.
-  std::vector<double> d(median_.size(), 0.0);
-  for (std::size_t b = 0; b < d.size(); ++b) {
-    if (freq_hz_[b] < p_.min_freq_hz) continue;
-    d[b] = std::max(observation.magnitude[b] - median_[b], 0.0);
-  }
-  return d;
+  check_scorable(observation);
+  std::vector<double> z = normalized(observation);
+  for (std::size_t b = 0; b < z.size(); ++b) z[b] = z_at(z[b], b);
+  return z;
 }
 
 DetectionResult GoldenFreeDetector::score(
     const dsp::Spectrum& observation) const {
-  const std::vector<double> z = zscores(observation);
+  check_scorable(observation);
   const std::vector<double> mags = normalized(observation);
   DetectionResult r;
   double best_any_delta = -1.0;
   double best_novel_delta = -1.0;
   std::size_t best_any = 0;
   std::size_t best_novel = 0;
-  for (std::size_t b = 0; b < z.size(); ++b) {
-    r.score = std::max(r.score, z[b]);
-    if (z[b] <= p_.z_threshold) continue;
+  for (std::size_t b = 0; b < mags.size(); ++b) {
+    const double z = z_at(mags[b], b);
+    r.score = std::max(r.score, z);
+    if (z <= p_.z_threshold) continue;
     r.anomalous_bins.push_back(b);
-    // Physical (unnormalized) amplitude excess — see deltas().
+    // Physical amplitude excess, *not* drift-normalized: normalization
+    // divides by the in-band mean, which a strong Trojan right under the
+    // sensor inflates — deflating exactly the sensor that should win the
+    // localization scan. Gain drift is percent-level against tens of dB of
+    // spatial contrast.
     const double delta = observation.magnitude[b] - median_[b];
     if (delta > best_any_delta) {
       best_any_delta = delta;

@@ -76,10 +76,6 @@ class GoldenFreeDetector {
   /// Per-bin robust z-scores.
   std::vector<double> zscores(const dsp::Spectrum& observation) const;
 
-  /// Per-bin amplitude excess over the enrolled median [V] (0 below the
-  /// frequency mask). The localization heat map sums these.
-  std::vector<double> deltas(const dsp::Spectrum& observation) const;
-
   const Params& params() const { return p_; }
 
  private:
@@ -87,6 +83,11 @@ class GoldenFreeDetector {
   double band_norm(const dsp::Spectrum& s) const;
   /// Observation magnitudes after optional drift normalization.
   std::vector<double> normalized(const dsp::Spectrum& s) const;
+  /// Throws unless enrolled and `s` is on the enrolled grid.
+  void check_scorable(const dsp::Spectrum& s) const;
+  /// Robust z-score of normalized magnitude `mag` in bin `b` (0 when the
+  /// bin is below the frequency mask).
+  double z_at(double mag, std::size_t b) const;
 
   Params p_;
   std::vector<double> freq_hz_;

@@ -149,6 +149,7 @@ void Pipeline::enroll(const sim::Scenario& normal) {
       }
     });
   }
+  PSA_TRACE_SPAN("pipeline.enroll_fold");
   parallel_for(0, 16, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t k = lo; k < hi; ++k) {
       if (masked_[k]) continue;

@@ -2,9 +2,16 @@
 // identifier signature rules on synthetic envelopes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "analysis/detector.hpp"
+#include "dsp/stats.hpp"
 #include "analysis/identifier.hpp"
 #include "analysis/localizer.hpp"
 #include "common/rng.hpp"
@@ -14,12 +21,12 @@
 namespace psa::analysis {
 namespace {
 
-dsp::Spectrum background(Rng& rng, double line_at_33 = 1.0) {
-  // 200-bin spectrum 0..120 MHz with a floor, a 33 MHz comb line, and
+dsp::Spectrum background(Rng& rng, double line_at_33 = 1.0, int bins = 200) {
+  // `bins`-bin spectrum 0..120 MHz with a floor, a 33 MHz comb line, and
   // multiplicative jitter — a miniature of the chip's display spectrum.
   dsp::Spectrum s;
-  for (int i = 0; i < 200; ++i) {
-    const double f = 120.0e6 * i / 199.0;
+  for (int i = 0; i < bins; ++i) {
+    const double f = 120.0e6 * i / (bins - 1);
     s.freq_hz.push_back(f);
     double m = 1.0e-4 * (1.0 + 0.1 * rng.gaussian());
     if (std::fabs(f - 33.0e6) < 0.7e6) m += line_at_33;
@@ -115,8 +122,9 @@ TEST(Detector, DeltasArePhysicalVolts) {
   dsp::Spectrum obs = background(rng);
   const std::size_t bin = obs.nearest_bin(60.0e6);
   obs.magnitude[bin] += 0.5;
-  const auto d = det.deltas(obs);
-  EXPECT_NEAR(d[bin], 0.5, 0.01);
+  const DetectionResult r = det.score(obs);
+  EXPECT_EQ(r.peak_freq_hz, obs.freq_hz[bin]);
+  EXPECT_NEAR(r.peak_delta_v, 0.5, 0.01);
 }
 
 TEST(Detector, GridMismatchThrows) {
@@ -153,6 +161,204 @@ TEST(Detector, NormalizedStillCatchesNewLine) {
   const DetectionResult r = det.score(obs);
   EXPECT_TRUE(r.detected);
   EXPECT_NEAR(r.peak_freq_hz, 48.0e6, 1.5e6);
+}
+
+// ------------------------------------------------- enrollment fold oracle
+
+/// GoldenFreeDetector as first written: the enrollment fold re-normalizes
+/// every spectrum inside its per-bin loop (O(traces x bins^2)), and score()
+/// normalizes the observation once for the z-scores and again for the
+/// novelty test. Kept here only as the bit-exact oracle for the linear fold.
+struct ReferenceDetector {
+  GoldenFreeDetector::Params p;
+  std::vector<double> freq_hz, median, spread;
+  double ref_norm = 0.0;
+
+  double band_norm(const dsp::Spectrum& s) const {
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (std::size_t b = 0; b < s.size(); ++b) {
+      if (s.freq_hz[b] < p.min_freq_hz) continue;
+      sum += s.magnitude[b];
+      ++n;
+    }
+    return n > 0 ? sum / static_cast<double>(n) : 0.0;
+  }
+
+  std::vector<double> normalized(const dsp::Spectrum& s) const {
+    std::vector<double> mags = s.magnitude;
+    if (p.normalize && ref_norm > 0.0) {
+      const double norm = band_norm(s);
+      if (norm > 0.0) {
+        const double scale = ref_norm / norm;
+        for (double& m : mags) m *= scale;
+      }
+    }
+    return mags;
+  }
+
+  void enroll(std::span<const dsp::Spectrum> enrollment) {
+    const std::size_t bins = enrollment.front().size();
+    freq_hz = enrollment.front().freq_hz;
+    median.assign(bins, 0.0);
+    spread.assign(bins, 0.0);
+    std::vector<double> norms;
+    for (const dsp::Spectrum& s : enrollment) norms.push_back(band_norm(s));
+    ref_norm = dsp::median(norms);
+    std::vector<double> column(enrollment.size());
+    for (std::size_t b = 0; b < bins; ++b) {
+      for (std::size_t i = 0; i < enrollment.size(); ++i) {
+        const std::vector<double> mags = normalized(enrollment[i]);
+        column[i] = mags[b];
+      }
+      median[b] = dsp::median(column);
+      spread[b] = 1.4826 * dsp::median_abs_deviation(column) + p.mad_floor;
+    }
+  }
+
+  std::vector<double> zscores(const dsp::Spectrum& obs) const {
+    const std::vector<double> mags = normalized(obs);
+    std::vector<double> z(median.size());
+    for (std::size_t b = 0; b < z.size(); ++b) {
+      if (freq_hz[b] < p.min_freq_hz) {
+        z[b] = 0.0;
+        continue;
+      }
+      z[b] = (mags[b] - median[b]) / spread[b];
+    }
+    return z;
+  }
+
+  DetectionResult score(const dsp::Spectrum& obs) const {
+    const std::vector<double> z = zscores(obs);
+    const std::vector<double> mags = normalized(obs);
+    DetectionResult r;
+    double best_any_delta = -1.0;
+    double best_novel_delta = -1.0;
+    std::size_t best_any = 0;
+    std::size_t best_novel = 0;
+    for (std::size_t b = 0; b < z.size(); ++b) {
+      r.score = std::max(r.score, z[b]);
+      if (z[b] <= p.z_threshold) continue;
+      r.anomalous_bins.push_back(b);
+      const double delta = obs.magnitude[b] - median[b];
+      if (delta > best_any_delta) {
+        best_any_delta = delta;
+        best_any = b;
+      }
+      const double offset = std::fabs(
+          freq_hz[b] - p.clock_hz * std::round(freq_hz[b] / p.clock_hz));
+      const bool novel = mags[b] > p.novelty_ratio * median[b] &&
+                         offset > p.harmonic_guard_hz;
+      if (novel && delta > best_novel_delta) {
+        best_novel_delta = delta;
+        best_novel = b;
+      }
+    }
+    r.detected = r.anomalous_bins.size() >= p.min_anomalous_bins &&
+                 r.score > p.z_threshold;
+    if (best_novel_delta >= 0.0) {
+      r.peak_freq_hz = freq_hz[best_novel];
+      r.peak_delta_v = best_novel_delta;
+      r.peak_is_novel = true;
+    } else if (best_any_delta >= 0.0) {
+      r.peak_freq_hz = freq_hz[best_any];
+      r.peak_delta_v = best_any_delta;
+    }
+    return r;
+  }
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Zero every in-band magnitude, so the spectrum's band norm is 0.
+dsp::Spectrum zero_in_band(dsp::Spectrum s, double min_freq_hz) {
+  for (std::size_t b = 0; b < s.size(); ++b) {
+    if (s.freq_hz[b] >= min_freq_hz) s.magnitude[b] = 0.0;
+  }
+  return s;
+}
+
+TEST(Detector, LinearFoldMatchesPerBinOracleBitForBit) {
+  Rng rng(tests::kRngStreamBase + 11);
+  for (const std::size_t n : {3u, 4u, 8u}) {
+    for (const bool normalize : {true, false}) {
+      // 0 zero-norm spectra, one (skipped by normalization), or a majority
+      // (the reference norm itself is 0, so nothing is rescaled).
+      for (const std::size_t zeros : {std::size_t{0}, std::size_t{1},
+                                      n / 2 + 1}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " normalize="
+                                          << normalize << " zeros=" << zeros);
+        GoldenFreeDetector::Params params;
+        params.normalize = normalize;
+        std::vector<dsp::Spectrum> set;
+        for (std::size_t i = 0; i < n; ++i) {
+          dsp::Spectrum s = background(rng);
+          for (double& m : s.magnitude) m *= 1.0 + 0.05 * i;  // gain drift
+          set.push_back(i < zeros ? zero_in_band(s, params.min_freq_hz) : s);
+        }
+        GoldenFreeDetector det(params);
+        det.enroll(set);
+        ReferenceDetector ref{params};
+        ref.enroll(set);
+
+        dsp::Spectrum sideband = background(rng);
+        sideband.magnitude[sideband.nearest_bin(48.0e6)] += 0.02;
+        sideband.magnitude[sideband.nearest_bin(48.0e6) + 1] += 0.015;
+        dsp::Spectrum drifted = background(rng);
+        for (double& m : drifted.magnitude) m *= 1.25;
+        for (const dsp::Spectrum& obs :
+             {background(rng), sideband, drifted,
+              zero_in_band(background(rng), params.min_freq_hz), set.front()}) {
+          EXPECT_TRUE(same_bits(det.zscores(obs), ref.zscores(obs)));
+          const DetectionResult got = det.score(obs);
+          const DetectionResult want = ref.score(obs);
+          EXPECT_TRUE(same_bits(got.score, want.score));
+          EXPECT_EQ(got.detected, want.detected);
+          EXPECT_TRUE(same_bits(got.peak_freq_hz, want.peak_freq_hz));
+          EXPECT_TRUE(same_bits(got.peak_delta_v, want.peak_delta_v));
+          EXPECT_EQ(got.peak_is_novel, want.peak_is_novel);
+          EXPECT_EQ(got.anomalous_bins, want.anomalous_bins);
+        }
+      }
+    }
+  }
+}
+
+TEST(Detector, EnrollCostIsLinearInBins) {
+  // Fastest of 5 interleaved enrollments at 1x and 8x the bin count. A fold
+  // linear in traces x bins scales ~8x; the per-bin re-normalizing fold it
+  // replaced scaled ~64x.
+  Rng rng(tests::kRngStreamBase + 12);
+  const auto make_set = [&rng](int bins) {
+    std::vector<dsp::Spectrum> set;
+    for (int i = 0; i < 8; ++i) set.push_back(background(rng, 1.0, bins));
+    return set;
+  };
+  const std::vector<dsp::Spectrum> small = make_set(1024);
+  const std::vector<dsp::Spectrum> large = make_set(8 * 1024);
+  const auto enroll_s = [](const std::vector<dsp::Spectrum>& set) {
+    GoldenFreeDetector det;
+    const auto t0 = std::chrono::steady_clock::now();
+    det.enroll(set);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  double t1 = std::numeric_limits<double>::infinity();
+  double t8 = t1;
+  for (int rep = 0; rep < 5; ++rep) {
+    t1 = std::min(t1, enroll_s(small));
+    t8 = std::min(t8, enroll_s(large));
+  }
+  EXPECT_LT(t8, 20.0 * t1) << "1x: " << t1 * 1e3 << " ms, 8x: " << t8 * 1e3
+                           << " ms";
 }
 
 // ---------------------------------------------------------------- localizer

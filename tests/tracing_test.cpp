@@ -1,9 +1,10 @@
 // tracing_test.cpp — end-to-end causal tracing and the alarm flight
 // recorder: W3C traceparent parse/format, cross-thread context propagation
 // (fork_join chunks, ServingQueue executors, coalesced link-spans), the
-// span-tree exporter, HTTP trace-id plumbing (X-PSA-Trace-Id, traceparent
-// adoption), /events stale-cursor metadata, OpenMetrics exemplars, and the
-// per-chip blackbox bundle (determinism, drain semantics, HTTP endpoint).
+// span-tree exporter, child-span coverage of an enrollment, HTTP trace-id
+// plumbing (X-PSA-Trace-Id, traceparent adoption), /events stale-cursor
+// metadata, OpenMetrics exemplars, and the per-chip blackbox bundle
+// (determinism, drain semantics, HTTP endpoint).
 //
 // These tests run under the TSan matrix job: the propagation tests
 // deliberately hand contexts across real threads (pool workers, serving
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/pipeline.hpp"
 #include "common/parallel.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/fleet_http.hpp"
@@ -336,6 +338,37 @@ TEST(TraceTree, ExportNestsChildrenUnderTheirParents) {
   ASSERT_NE(child_at, std::string::npos);
   EXPECT_LT(root_at, child_at) << "child rendered outside its parent";
   EXPECT_NE(tree.find(obs::trace_id_hex(root_ctx)), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Layer ledger: child spans account for their parent's time
+
+TEST(TraceCoverage, EnrollChildSpansCoverTheEnrollment) {
+  const sim::ChipSimulator chip = tests::make_chip();
+  analysis::Pipeline pipeline(chip, tests::light_config());
+  ObsEnabledGuard guard;
+  pipeline.enroll(sim::Scenario::baseline(tests::kGoldenSeed));
+
+  const std::vector<obs::SpanRecord> spans =
+      obs::TraceRecorder::global().snapshot();
+  const obs::SpanRecord* enroll = nullptr;
+  for (const obs::SpanRecord& rec : spans) {
+    if (rec.name == "pipeline.enroll") enroll = &rec;
+  }
+  ASSERT_NE(enroll, nullptr);
+  double child_us = 0.0;
+  bool fold = false;
+  for (const obs::SpanRecord& rec : spans) {
+    if (rec.trace_hi != enroll->trace_hi || rec.trace_lo != enroll->trace_lo ||
+        rec.parent_span_id != enroll->span_id) {
+      continue;
+    }
+    child_us += rec.dur_us;
+    fold = fold || rec.name == "pipeline.enroll_fold";
+  }
+  EXPECT_TRUE(fold) << "the detector fold has no span";
+  EXPECT_GE(child_us, 0.9 * enroll->dur_us)
+      << "children cover " << child_us << " of " << enroll->dur_us << " us";
 }
 
 #endif  // PSA_OBS_ENABLED
