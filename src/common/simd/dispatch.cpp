@@ -125,6 +125,16 @@ void fft_stage(double* re, double* im, std::size_t n, std::size_t len,
   table().fft_stage(re, im, n, len, wr, wi);
 }
 
+void fft_stage_pair(double* re, double* im, std::size_t n, std::size_t len,
+                    const double* wr, const double* wi) {
+  table().fft_stage_pair(re, im, n, len, wr, wi);
+}
+
+void fft_butterflies(double* ar, double* ai, double* br, double* bi,
+                     std::size_t n, double wr, double wi) {
+  table().fft_butterflies(ar, ai, br, bi, n, wr, wi);
+}
+
 void goertzel_sums(const double* signal, const double* window,
                    std::size_t block, double coeff, const std::size_t* starts,
                    std::size_t count, double* s1_out, double* s2_out) {

@@ -20,6 +20,10 @@ struct KernelTable {
                             double);
   void (*fft_stage)(double*, double*, std::size_t, std::size_t, const double*,
                     const double*);
+  void (*fft_stage_pair)(double*, double*, std::size_t, std::size_t,
+                         const double*, const double*);
+  void (*fft_butterflies)(double*, double*, double*, double*, std::size_t,
+                          double, double);
   void (*goertzel_sums)(const double*, const double*, std::size_t, double,
                         const std::size_t*, std::size_t, double*, double*);
 };

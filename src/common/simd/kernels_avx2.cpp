@@ -160,6 +160,93 @@ void fft_stage_avx2(double* re, double* im, std::size_t n, std::size_t len,
   }
 }
 
+// One butterfly per lane: (u, b) -> (u + v, u - v) with v = b * w, in
+// fft_stage's operation order.
+inline void butterfly(__m256d& ur, __m256d& ui, __m256d& br, __m256d& bi,
+                      __m256d wr, __m256d wi) {
+  const __m256d vr = _mm256_sub_pd(_mm256_mul_pd(br, wr), _mm256_mul_pd(bi, wi));
+  const __m256d vi = _mm256_add_pd(_mm256_mul_pd(br, wi), _mm256_mul_pd(bi, wr));
+  br = _mm256_sub_pd(ur, vr);
+  bi = _mm256_sub_pd(ui, vi);
+  ur = _mm256_add_pd(ur, vr);
+  ui = _mm256_add_pd(ui, vi);
+}
+
+// A group of 2*len holds quarters q0..q3 of h = len/2 elements: the len
+// stage pairs (q0, q1) and (q2, q3) on twiddle k, then the 2*len stage
+// pairs (q0, q2) on twiddle k and (q1, q3) on twiddle h + k. Four lanes of
+// k at a time keep all four quarters in registers between the two stages.
+void fft_stage_pair_avx2(double* re, double* im, std::size_t n,
+                         std::size_t len, const double* wr,
+                         const double* wi) {
+  const std::size_t h = len / 2;
+  if (h % 4 != 0) {
+    fft_stage_avx2(re, im, n, len, wr, wi);
+    fft_stage_avx2(re, im, n, 2 * len, wr + h, wi + h);
+    return;
+  }
+  const double* w2r = wr + h;
+  const double* w2i = wi + h;
+  for (std::size_t i = 0; i < n; i += 2 * len) {
+    double* r = re + i;
+    double* m = im + i;
+    for (std::size_t k = 0; k < h; k += 4) {
+      __m256d r0 = _mm256_loadu_pd(r + k);
+      __m256d m0 = _mm256_loadu_pd(m + k);
+      __m256d r1 = _mm256_loadu_pd(r + h + k);
+      __m256d m1 = _mm256_loadu_pd(m + h + k);
+      __m256d r2 = _mm256_loadu_pd(r + 2 * h + k);
+      __m256d m2 = _mm256_loadu_pd(m + 2 * h + k);
+      __m256d r3 = _mm256_loadu_pd(r + 3 * h + k);
+      __m256d m3 = _mm256_loadu_pd(m + 3 * h + k);
+      const __m256d w1r = _mm256_loadu_pd(wr + k);
+      const __m256d w1i = _mm256_loadu_pd(wi + k);
+      butterfly(r0, m0, r1, m1, w1r, w1i);
+      butterfly(r2, m2, r3, m3, w1r, w1i);
+      butterfly(r0, m0, r2, m2, _mm256_loadu_pd(w2r + k),
+                _mm256_loadu_pd(w2i + k));
+      butterfly(r1, m1, r3, m3, _mm256_loadu_pd(w2r + h + k),
+                _mm256_loadu_pd(w2i + h + k));
+      _mm256_storeu_pd(r + k, r0);
+      _mm256_storeu_pd(m + k, m0);
+      _mm256_storeu_pd(r + h + k, r1);
+      _mm256_storeu_pd(m + h + k, m1);
+      _mm256_storeu_pd(r + 2 * h + k, r2);
+      _mm256_storeu_pd(m + 2 * h + k, m2);
+      _mm256_storeu_pd(r + 3 * h + k, r3);
+      _mm256_storeu_pd(m + 3 * h + k, m3);
+    }
+  }
+}
+
+void fft_butterflies_avx2(double* ar, double* ai, double* br, double* bi,
+                          std::size_t n, double wr, double wi) {
+  const __m256d vwr = _mm256_set1_pd(wr);
+  const __m256d vwi = _mm256_set1_pd(wi);
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    __m256d ur = _mm256_loadu_pd(ar + k);
+    __m256d ui = _mm256_loadu_pd(ai + k);
+    __m256d vbr = _mm256_loadu_pd(br + k);
+    __m256d vbi = _mm256_loadu_pd(bi + k);
+    butterfly(ur, ui, vbr, vbi, vwr, vwi);
+    _mm256_storeu_pd(ar + k, ur);
+    _mm256_storeu_pd(ai + k, ui);
+    _mm256_storeu_pd(br + k, vbr);
+    _mm256_storeu_pd(bi + k, vbi);
+  }
+  for (; k < n; ++k) {
+    const double vr = br[k] * wr - bi[k] * wi;
+    const double vi = br[k] * wi + bi[k] * wr;
+    const double ur = ar[k];
+    const double ui = ai[k];
+    ar[k] = ur + vr;
+    ai[k] = ui + vi;
+    br[k] = ur - vr;
+    bi[k] = ui - vi;
+  }
+}
+
 void goertzel_sums_avx2(const double* signal, const double* window,
                         std::size_t block, double coeff,
                         const std::size_t* starts, std::size_t count,
@@ -206,6 +293,7 @@ const KernelTable kAvx2Kernels = {
     scale_avx2,          scale_inplace_avx2,
     axpy_avx2,           noise_accumulate_avx2,
     flux_from_charges_avx2, fft_stage_avx2,
+    fft_stage_pair_avx2,  fft_butterflies_avx2,
     goertzel_sums_avx2,
 };
 

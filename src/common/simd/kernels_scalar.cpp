@@ -62,6 +62,28 @@ void fft_stage_scalar(double* re, double* im, std::size_t n, std::size_t len,
   }
 }
 
+void fft_stage_pair_scalar(double* re, double* im, std::size_t n,
+                           std::size_t len, const double* wr,
+                           const double* wi) {
+  const std::size_t h = len / 2;
+  fft_stage_scalar(re, im, n, len, wr, wi);
+  fft_stage_scalar(re, im, n, 2 * len, wr + h, wi + h);
+}
+
+void fft_butterflies_scalar(double* ar, double* ai, double* br, double* bi,
+                            std::size_t n, double wr, double wi) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double vr = br[k] * wr - bi[k] * wi;
+    const double vi = br[k] * wi + bi[k] * wr;
+    const double ur = ar[k];
+    const double ui = ai[k];
+    ar[k] = ur + vr;
+    ai[k] = ui + vi;
+    br[k] = ur - vr;
+    bi[k] = ui - vi;
+  }
+}
+
 void goertzel_sums_scalar(const double* signal, const double* window,
                           std::size_t block, double coeff,
                           const std::size_t* starts, std::size_t count,
@@ -86,6 +108,7 @@ const KernelTable kScalarKernels = {
     scale_scalar,          scale_inplace_scalar,
     axpy_scalar,           noise_accumulate_scalar,
     flux_from_charges_scalar, fft_stage_scalar,
+    fft_stage_pair_scalar, fft_butterflies_scalar,
     goertzel_sums_scalar,
 };
 

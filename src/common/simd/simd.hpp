@@ -93,6 +93,22 @@ void flux_from_charges(double* flux, const double* charge,
 void fft_stage(double* re, double* im, std::size_t n, std::size_t len,
                const double* wr, const double* wi);
 
+/// fft_stage at len, then at 2*len, in one pass over the data. wr/wi hold
+/// the len stage's h twiddles followed by the 2*len stage's 2h (the layout
+/// of a flat per-stage table). Each element sees the same butterflies in
+/// the same order as the two separate stages.
+void fft_stage_pair(double* re, double* im, std::size_t n, std::size_t len,
+                    const double* wr, const double* wi);
+
+/// fft_stage's butterfly between two runs of n elements that share one
+/// twiddle (wr, wi):
+///   vr = br[k]*wr - bi[k]*wi;  vi = br[k]*wi + bi[k]*wr
+///   (ar[k], br[k]) = (ar[k] + vr, ar[k] - vr)   and same for imaginary.
+/// The short stages run this way on a bit-reversal tile (dsp/fft.cpp),
+/// where the partners of a len-2 or len-4 butterfly sit in different rows.
+void fft_butterflies(double* ar, double* ai, double* br, double* bi,
+                     std::size_t n, double wr, double wi);
+
 /// Goertzel recurrence over `count` windowed blocks of one signal:
 /// for each block b starting at starts[b], run
 ///   s0 = signal[starts[b] + i] * window[i] + coeff * s1 - s2

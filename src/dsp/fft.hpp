@@ -26,16 +26,27 @@ void fft_inplace(std::span<cplx> data);
 void ifft_inplace(std::span<cplx> data);
 
 /// Forward FFT of a real signal; returns the N/2+1 non-negative-frequency
-/// bins. Input size must be a power of two.
+/// bins. Input size must be a power of two. Equivalent to rfft_band with no
+/// window and every bin.
+std::vector<cplx> rfft(std::span<const double> signal);
+
+/// The first `n_bins` (clamped to N/2+1) non-negative-frequency bins of the
+/// real FFT of window[i]*signal[i], zero-padded to N = next_pow2(size).
+/// An empty `window` means rectangular; otherwise it must match the signal
+/// length. `out` is resized to the bin count, so a reused vector keeps its
+/// storage.
 ///
 /// Implemented as a packed real FFT: the even/odd samples form one
 /// half-length complex FFT that is then unpacked with e^{-i·pi·k/(N/2)}
 /// twiddles — half the butterflies of the straightforward complex transform.
-/// The result matches rfft_reference to ~1 ulp per bin (the shorter
-/// butterfly chain rounds differently), which every spectral consumer in
-/// this repo is insensitive to; bit-exactness is only contracted for the
-/// *time-domain* measurement path (see DESIGN.md §10).
-std::vector<cplx> rfft(std::span<const double> signal);
+/// The samples are windowed and gathered straight into bit-reversed order,
+/// and only the requested bins are unpacked. The result matches
+/// rfft_reference to ~1 ulp per bin (the shorter butterfly chain rounds
+/// differently), which every spectral consumer in this repo is insensitive
+/// to, and is bit-identical to windowing a padded copy and running the
+/// packed transform with an in-place bit reversal (see DESIGN.md §10).
+void rfft_band(std::span<const double> signal, std::span<const double> window,
+               std::size_t n_bins, std::vector<cplx>& out);
 
 /// The original real-input FFT, kept verbatim: full-length complex transform
 /// with per-butterfly twiddle recurrence and no lookup tables. Ground truth

@@ -67,8 +67,8 @@ std::size_t Spectrum::peak_bin(double f_lo, double f_hi) const {
 
 namespace {
 
-// Shared core of the fast paths: cached window, packed real FFT, then
-// magnitudes for the first `n_bins` half-spectrum bins (0 = all).
+// Shared core of the fast paths: cached window, then the packed real FFT
+// unpacked only for the first `n_bins` half-spectrum bins (0 = all).
 Spectrum amplitude_spectrum_fast(std::span<const double> signal,
                                  double sample_rate_hz, WindowKind window,
                                  std::size_t n_bins) {
@@ -76,23 +76,19 @@ Spectrum amplitude_spectrum_fast(std::span<const double> signal,
     throw std::invalid_argument("amplitude_spectrum: bad inputs");
   }
   const std::size_t n = next_pow2(signal.size());
-  std::vector<double> buf(signal.begin(), signal.end());
   const std::shared_ptr<const CachedWindow> w =
       cached_window(window, signal.size());
-  apply_window(std::span<double>(buf.data(), signal.size()), w->coeffs);
-  buf.resize(n, 0.0);
-
-  const std::vector<cplx> half = rfft(buf);
+  thread_local std::vector<cplx> half;
+  rfft_band(signal, w->coeffs, n_bins == 0 ? n / 2 + 1 : n_bins, half);
   // Window amplitude correction uses the pre-padding length.
   const double scale =
       2.0 / (w->coherent_gain * static_cast<double>(signal.size()));
 
-  if (n_bins == 0 || n_bins > half.size()) n_bins = half.size();
   Spectrum s;
-  s.freq_hz.resize(n_bins);
-  s.magnitude.resize(n_bins);
+  s.freq_hz.resize(half.size());
+  s.magnitude.resize(half.size());
   const double df = sample_rate_hz / static_cast<double>(n);
-  for (std::size_t k = 0; k < n_bins; ++k) {
+  for (std::size_t k = 0; k < half.size(); ++k) {
     s.freq_hz[k] = df * static_cast<double>(k);
     // sqrt(re^2+im^2) instead of std::abs's overflow-proof hypot: these are
     // sub-volt magnitudes, and the spectrum values already carry the packed
@@ -100,7 +96,7 @@ Spectrum amplitude_spectrum_fast(std::span<const double> signal,
     const double re = half[k].real();
     const double im = half[k].imag();
     double m = std::sqrt(re * re + im * im) * scale;
-    if (k == 0 || k == half.size() - 1) m *= 0.5;  // DC/Nyquist: no mirror
+    if (k == 0 || k == n / 2) m *= 0.5;  // DC/Nyquist: no mirror
     s.magnitude[k] = m;
   }
   return s;

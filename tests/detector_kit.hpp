@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,12 @@ struct DetectorFactory {
   std::string name;
   std::function<std::unique_ptr<analysis::Detector>()> make;
 };
+
+// gtest prints a parameter into every test's listed name; without this it
+// dumps the struct's bytes, heap pointers included, so names change per run.
+inline void PrintTo(const DetectorFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
 
 inline std::string DetectorFactoryName(
     const testing::TestParamInfo<DetectorFactory>& info) {

@@ -153,7 +153,7 @@ inline DetectorGoldens compute_detector_goldens() {
   const sim::Scenario normal = sim::Scenario::baseline(tests::kGoldenSeed);
   pipeline.enroll(normal);
 
-  analysis::DetectorBank bank(pipeline, analysis::BankConfig{.scales = 2});
+  analysis::DetectorBank bank(pipeline, analysis::BankConfig{.scales = 2, .detectors = {}});
   bank.calibrate(normal);
 
   DetectorGoldens g;

@@ -205,6 +205,102 @@ TEST(SimdBitIdentity, FftStage) {
   }
 }
 
+// The short stages (h = 1 and 2) fall to the AVX2 kernel's scalar tail;
+// group counts 1..9, 17 and 33 leave every remainder of a 4-lane body.
+TEST(SimdBitIdentity, FftStageShortLengths) {
+  for (std::size_t len : {2ul, 4ul}) {
+    const std::size_t h = len / 2;
+    for (std::size_t groups : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 9ul, 17ul, 33ul}) {
+      const std::size_t n = len * groups;
+      const std::vector<double> re0 = random_vec(n, 131 + n);
+      const std::vector<double> im0 = random_vec(n, 137 + n);
+      const std::vector<double> wr = random_vec(h, 139 + len);
+      const std::vector<double> wi = random_vec(h, 149 + len);
+      std::vector<double> a, b;
+      if (!run_both(
+              [&] {
+                std::vector<double> re = re0;
+                std::vector<double> im = im0;
+                simd::fft_stage(re.data(), im.data(), n, len, wr.data(),
+                                wi.data());
+                re.insert(re.end(), im.begin(), im.end());
+                return re;
+              },
+              &a, &b)) {
+        GTEST_SKIP() << "host has no AVX2; single-variant dispatch";
+      }
+      EXPECT_TRUE(bitwise_equal(a, b))
+          << "fft_stage diverged at len=" << len << " n=" << n;
+    }
+  }
+}
+
+// How the len-2 and len-4 stages run on a bit-reversal tile: runs of any
+// length against a fixed twiddle.
+TEST(SimdBitIdentity, FftButterflies) {
+  for (std::size_t n : kSizes) {
+    const std::vector<double> ar0 = random_vec(n, 151 + n);
+    const std::vector<double> ai0 = random_vec(n, 157 + n);
+    const std::vector<double> br0 = random_vec(n, 163 + n);
+    const std::vector<double> bi0 = random_vec(n, 167 + n);
+    std::vector<double> a, b;
+    if (!run_both(
+            [&] {
+              std::vector<double> ar = ar0, ai = ai0, br = br0, bi = bi0;
+              simd::fft_butterflies(ar.data(), ai.data(), br.data(),
+                                    bi.data(), n, 0.70710678118654757,
+                                    -0.70710678118654746);
+              for (const auto* v : {&ai, &br, &bi}) {
+                ar.insert(ar.end(), v->begin(), v->end());
+              }
+              return ar;
+            },
+            &a, &b)) {
+      GTEST_SKIP() << "host has no AVX2; single-variant dispatch";
+    }
+    EXPECT_TRUE(bitwise_equal(a, b)) << "fft_butterflies diverged at n=" << n;
+  }
+}
+
+// Two stages in one pass: h = 1 and 2 take the two-stage fallback, h >= 4
+// the fused quarter loop, over 1..3 groups of 2*len.
+TEST(SimdBitIdentity, FftStagePair) {
+  for (std::size_t len = 2; len <= 64; len <<= 1) {
+    const std::size_t h = len / 2;
+    for (std::size_t groups : {1ul, 2ul, 3ul}) {
+      const std::size_t n = 2 * len * groups;
+      const std::vector<double> re0 = random_vec(n, 173 + n);
+      const std::vector<double> im0 = random_vec(n, 179 + n);
+      const std::vector<double> wr = random_vec(3 * h, 181 + len);
+      const std::vector<double> wi = random_vec(3 * h, 191 + len);
+      const auto run = [&](bool paired) {
+        std::vector<double> re = re0;
+        std::vector<double> im = im0;
+        if (paired) {
+          simd::fft_stage_pair(re.data(), im.data(), n, len, wr.data(),
+                               wi.data());
+        } else {
+          simd::fft_stage(re.data(), im.data(), n, len, wr.data(), wi.data());
+          simd::fft_stage(re.data(), im.data(), n, 2 * len, wr.data() + h,
+                          wi.data() + h);
+        }
+        re.insert(re.end(), im.begin(), im.end());
+        return re;
+      };
+      // Under the active table, the pair equals its two stages...
+      EXPECT_TRUE(bitwise_equal(run(true), run(false)))
+          << "fft_stage_pair != two stages at len=" << len << " n=" << n;
+      // ...and the AVX2 pair equals the scalar one.
+      std::vector<double> a, b;
+      if (!run_both([&] { return run(true); }, &a, &b)) {
+        GTEST_SKIP() << "host has no AVX2; single-variant dispatch";
+      }
+      EXPECT_TRUE(bitwise_equal(a, b))
+          << "fft_stage_pair diverged at len=" << len << " n=" << n;
+    }
+  }
+}
+
 TEST(SimdBitIdentity, GoertzelSums) {
   // Block counts 1..9 cover 0-2 full 4-block groups plus every remainder.
   for (std::size_t count = 1; count <= 9; ++count) {
